@@ -9,9 +9,11 @@
 //
 //	go test -bench=. -benchmem
 //
-// Ablation benchmarks at the bottom quantify the design choices called
-// out in DESIGN.md §5 (hierarchical matching, stratified sampling,
-// similarity/toxicity thresholds, client-side rate limiting).
+// Ablation benchmarks at the bottom quantify the design choices: the
+// paper's hierarchical matching (§3.1), stratified sampling (§3.3) and
+// similarity/toxicity thresholds (§6), plus the crawler's client-side
+// rate limiting and hedging and the parallel analysis engine (see
+// ROADMAP.md).
 package flock
 
 import (
@@ -294,7 +296,7 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §5) ---
+// --- Ablations (see the package comment) ---
 
 // BenchmarkAblationMatcherStrategy compares the paper's hierarchical
 // matcher (exact-username guard on tweet-text matches) against the

@@ -262,6 +262,10 @@ type CrawlReport struct {
 	// ActivityGaps lists instance domains dropped from the activity
 	// crawl.
 	ActivityGaps map[string]string
+	// ToxicityGaps lists §6.3 posts whose scoring failed; they keep
+	// Toxicity -1. Keys are "twitter/<post ID>" and
+	// "mastodon/<domain>/<status ID>".
+	ToxicityGaps map[string]string
 	// SkippedQuarantined lists hosts the planner refused to schedule
 	// because the (possibly resumed) health registry had them
 	// quarantined, mapped to a short account of what was skipped. Units
@@ -291,7 +295,7 @@ func (r *CrawlReport) Quarantined() []string {
 func (r *CrawlReport) GapCount() int {
 	return len(r.FailedQueries) + len(r.DroppedAuthors) +
 		len(r.TwitterTimelineFailures) + len(r.MastodonTimelineFailures) +
-		len(r.FolloweeGaps) + len(r.ActivityGaps)
+		len(r.FolloweeGaps) + len(r.ActivityGaps) + len(r.ToxicityGaps)
 }
 
 // Summary renders a compact human-readable report.
@@ -306,11 +310,11 @@ func (r *CrawlReport) Summary() string {
 		}
 	}
 	return fmt.Sprintf(
-		"crawl report: resumed=%v hosts=%d open=%d quarantined=%d skipped=%d gaps=%d (queries=%d authors=%d twitterTL=%d mastoTL=%d followees=%d activity=%d)",
+		"crawl report: resumed=%v hosts=%d open=%d quarantined=%d skipped=%d gaps=%d (queries=%d authors=%d twitterTL=%d mastoTL=%d followees=%d activity=%d toxicity=%d)",
 		r.Resumed, len(r.Hosts), open, quarantined, len(r.SkippedQuarantined), r.GapCount(),
 		len(r.FailedQueries), len(r.DroppedAuthors),
 		len(r.TwitterTimelineFailures), len(r.MastodonTimelineFailures),
-		len(r.FolloweeGaps), len(r.ActivityGaps))
+		len(r.FolloweeGaps), len(r.ActivityGaps), len(r.ToxicityGaps))
 }
 
 // report accumulates gap records during a run; Crawler.Report snapshots
@@ -324,6 +328,7 @@ type reportState struct {
 	mastoTLFailures    map[string]string
 	followeeGaps       map[string]string
 	activityGaps       map[string]string
+	toxicityGaps       map[string]string
 	skippedQuarantined map[string]int // host -> work units skipped
 }
 
@@ -335,6 +340,7 @@ func newReportState() *reportState {
 		mastoTLFailures:    map[string]string{},
 		followeeGaps:       map[string]string{},
 		activityGaps:       map[string]string{},
+		toxicityGaps:       map[string]string{},
 		skippedQuarantined: map[string]int{},
 	}
 }
@@ -374,6 +380,7 @@ func (c *Crawler) Report() *CrawlReport {
 		MastodonTimelineFailures: cp(c.rep.mastoTLFailures),
 		FolloweeGaps:             cp(c.rep.followeeGaps),
 		ActivityGaps:             cp(c.rep.activityGaps),
+		ToxicityGaps:             cp(c.rep.toxicityGaps),
 		SkippedQuarantined:       map[string]string{},
 		HTTPStats:                c.client.Stats(),
 		HostLimits:               c.lim.Limits(),

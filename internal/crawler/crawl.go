@@ -72,7 +72,12 @@ type Config struct {
 	ScoreToxicity bool
 	// Keywords overrides DefaultKeywords when non-nil.
 	Keywords []string
-	// Logf receives progress lines (nil = silent).
+	// Logf receives one progress line per phase the run executes, in
+	// phase order, after that phase's checkpoint save (nil = silent). The
+	// formats begin "index:", "collected ", "mapped ", "twitter
+	// timelines:", "mastodon timelines:", "followee sample:", "activity:"
+	// and, with ScoreToxicity, "toxicity scoring done". Phases a resumed
+	// checkpoint already completed print nothing.
 	Logf func(format string, args ...any)
 	// BeforeTimelines runs after discovery+mapping and before the
 	// timeline crawls. The simulation uses it to take instances down at
@@ -167,8 +172,8 @@ func hostOf(base string) string {
 }
 
 // underLimit runs fetch inside the adaptive limiter's window for host.
-// Every fan-out phase routes its per-target exchanges through here so a
-// backed-off host slows only its own work units.
+// Every work unit routes its exchanges through here so a backed-off host
+// slows only its own units.
 func underLimit[T any](ctx context.Context, c *Crawler, host string, fetch func() (T, error)) (T, error) {
 	release, err := c.lim.Acquire(ctx, host)
 	if err != nil {
@@ -177,27 +182,6 @@ func underLimit[T any](ctx context.Context, c *Crawler, host string, fetch func(
 	}
 	defer release()
 	return fetch()
-}
-
-func (c *Crawler) logf(format string, args ...any) {
-	if c.cfg.Logf != nil {
-		c.cfg.Logf(format, args...)
-	}
-}
-
-// waitPhase waits out a worker group and wraps its error with the phase
-// name. On cancellation every in-flight worker returns the same context
-// error and Group.Wait joins them all; collapse that pile to the one
-// context error.
-func waitPhase(ctx context.Context, g *httpkit.Group, phase string) error {
-	err := g.Wait()
-	if err == nil {
-		return nil
-	}
-	if ctx.Err() != nil {
-		err = ctx.Err()
-	}
-	return fmt.Errorf("crawler: %s: %w", phase, err)
 }
 
 // Health exposes the crawl's per-host breaker registry.
@@ -211,6 +195,110 @@ func (c *Crawler) HTTPStats() httpkit.Stats { return c.client.Stats() }
 // (nil when adaptation is off).
 func (c *Crawler) HostLimits() map[string]int { return c.lim.Limits() }
 
+// unit is one resumable work item of a phase.
+type unit struct {
+	// key names the unit in the phase's gap map and done set.
+	key string
+	// host is the fediverse instance whose planner verdict may skip the
+	// unit; empty for units on the core services, which never skip.
+	host string
+	// fetch makes the unit's exchanges and returns how to commit its
+	// result; a nil commit means the phase's mark. A non-nil error is a
+	// terminal failure unless the context ended: the runner records it as
+	// a gap, then commits.
+	fetch func(ctx context.Context) (commit func(*Progress), err error)
+}
+
+// phase is one row of the §3 pipeline table. It says only what differs
+// between phases; runPhase owns the rest.
+type phase struct {
+	id    int                // Progress.Phase once the phase completes
+	name  string             // error context
+	line  string             // progress-line format
+	count func(*Dataset) int // the line's argument (nil: none)
+	// units lists the units not done yet, in run order. It runs before
+	// the fan-out, so it reads a done set no worker is writing.
+	units func(*Progress) []unit
+	// mark records a unit that finished without a result of its own: a
+	// terminal failure, a planner skip, or a fetch with nothing to commit.
+	mark func(p *Progress, key string)
+	// gaps collects terminal failures by unit key; nil makes them fatal.
+	gaps map[string]string
+	// finish, when set, runs in the phase's last update.
+	finish func(*Progress)
+}
+
+// phases is the §3 pipeline in execution order.
+func (c *Crawler) phases() []phase {
+	ps := []phase{{
+		id: phaseIndex, name: "instance index", line: "index: %d instances",
+		count: func(d *Dataset) int { return len(d.Instances) },
+		units: c.indexUnits,
+	}, {
+		id: phaseTweets, name: "tweet collection", line: "collected %d tweets",
+		count:  func(d *Dataset) int { return len(d.CollectedTweets) },
+		units:  c.queryUnits,
+		mark:   func(p *Progress, q string) { p.DoneQueries[q] = true },
+		gaps:   c.rep.failedQueries,
+		finish: finishCollection,
+	}, {
+		id: phaseMapping, name: "account mapping", line: "mapped %d account pairs",
+		count: func(d *Dataset) int { return len(d.Pairs) },
+		units: c.authorUnits,
+		// Authors that are gone, unmatched or unresolvable are done too.
+		mark: func(p *Progress, a string) { p.DoneAuthors[a] = true },
+		gaps: c.rep.droppedAuthors,
+		finish: func(p *Progress) {
+			sort.Slice(p.Dataset.Pairs, func(i, j int) bool {
+				return p.Dataset.Pairs[i].TwitterID < p.Dataset.Pairs[j].TwitterID
+			})
+			p.DoneAuthors = map[string]bool{}
+		},
+	}, {
+		id: phaseTwitterTL, name: "twitter timelines", line: "twitter timelines: %d",
+		count: func(d *Dataset) int { return len(d.TwitterTimelines) },
+		units: c.twitterTimelineUnits,
+		// A transport failure is not an account state: the gap is recorded
+		// alongside the taxonomy bucket.
+		mark: func(p *Progress, id string) {
+			p.Dataset.TwitterTimelines[id] = &TwitterTimeline{State: StateDeleted}
+		},
+		gaps: c.rep.twitterTLFailures,
+	}, {
+		id: phaseMastoTL, name: "mastodon timelines", line: "mastodon timelines: %d",
+		count: func(d *Dataset) int { return len(d.MastodonTimelines) },
+		units: c.mastodonTimelineUnits,
+		mark: func(p *Progress, id string) {
+			p.Dataset.MastodonTimelines[id] = &MastodonTimeline{State: StateInstanceDown}
+		},
+		gaps: c.rep.mastoTLFailures,
+	}, {
+		id: phaseFollowees, name: "followee sample", line: "followee sample: %d users",
+		count:  func(d *Dataset) int { return len(d.TwitterFollowees) },
+		units:  c.followeeUnits,
+		mark:   func(p *Progress, id string) { p.DoneFollowees[id] = true },
+		gaps:   c.rep.followeeGaps,
+		finish: func(p *Progress) { p.DoneFollowees = map[string]bool{} },
+	}, {
+		id: phaseActivity, name: "activity", line: "activity: %d instances",
+		count: func(d *Dataset) int { return len(d.Activity) },
+		units: c.activityUnits,
+		// Down instances drop out of the activity panel.
+		mark:   func(p *Progress, domain string) { p.DoneActivity[domain] = true },
+		gaps:   c.rep.activityGaps,
+		finish: func(p *Progress) { p.DoneActivity = map[string]bool{} },
+	}}
+	if c.cfg.ScoreToxicity {
+		ps = append(ps, phase{
+			id: phaseToxicity, name: "toxicity", line: "toxicity scoring done",
+			units: c.toxicityUnits,
+			mark:  func(*Progress, string) {}, // an unscored post keeps -1
+			gaps:  c.rep.toxicityGaps,
+		})
+	}
+	return ps
+}
+
 // Run executes the full §3 pipeline and returns the dataset. With a
 // Checkpoint configured, progress persists across cancellation: calling
 // Run again resumes at the first incomplete phase and skips work units
@@ -220,331 +308,294 @@ func (c *Crawler) Run(ctx context.Context) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog := t.prog
-	ds := prog.Dataset
-
-	// abort saves best-effort so an interrupted run can resume, then
-	// surfaces the phase error.
-	abort := func(err error) (*Dataset, error) {
-		_ = t.flush()
-		return nil, err
-	}
-
-	// Phase 1 (§3.1): instance index.
-	if prog.Phase < phaseIndex {
-		instances, err := c.index.List(ctx)
-		if err != nil {
-			return abort(fmt.Errorf("crawler: instance index: %w", err))
+	for _, ph := range c.phases() {
+		// The hook fires on every run (including resumes) that still has
+		// timeline work left.
+		if ph.id == phaseTwitterTL && c.cfg.BeforeTimelines != nil && t.prog.Phase < phaseMastoTL {
+			c.cfg.BeforeTimelines()
 		}
-		t.update(func(p *Progress) {
-			p.Dataset.Instances = instances
-			p.Phase = phaseIndex
-		})
-		if err := t.flush(); err != nil {
+		if t.prog.Phase >= ph.id {
+			continue
+		}
+		if err := c.runPhase(ctx, t, ph); err != nil {
+			// Save best-effort so an interrupted run can resume.
+			_ = t.flush()
 			return nil, err
-		}
-	}
-	c.logf("index: %d instances", len(ds.Instances))
-
-	// Phase 2 (§3.1): tweet collection.
-	if prog.Phase < phaseTweets {
-		if err := c.collectTweets(ctx, t); err != nil {
-			return abort(err)
-		}
-	}
-	c.logf("collected %d tweets", len(ds.CollectedTweets))
-
-	// Phase 3 (§3.1): account mapping.
-	if prog.Phase < phaseMapping {
-		if err := c.mapAccounts(ctx, t); err != nil {
-			return abort(err)
-		}
-	}
-	c.logf("mapped %d account pairs", len(ds.Pairs))
-
-	// Phase 4 (§3.2): timelines on both platforms. The hook fires on
-	// every run (including resumes) that still has timeline work left.
-	if c.cfg.BeforeTimelines != nil && prog.Phase < phaseMastoTL {
-		c.cfg.BeforeTimelines()
-	}
-	if prog.Phase < phaseTwitterTL {
-		if err := c.crawlTwitterTimelines(ctx, t); err != nil {
-			return abort(err)
-		}
-	}
-	if prog.Phase < phaseMastoTL {
-		if err := c.crawlMastodonTimelines(ctx, t); err != nil {
-			return abort(err)
-		}
-	}
-
-	// Phase 5 (§3.3): stratified followee sample.
-	if prog.Phase < phaseFollowees {
-		if err := c.crawlFollowees(ctx, t); err != nil {
-			return abort(err)
-		}
-	}
-
-	// Phase 6 (§3.1, Fig. 3): weekly activity.
-	if prog.Phase < phaseActivity {
-		if err := c.crawlActivity(ctx, t); err != nil {
-			return abort(err)
-		}
-	}
-
-	// Phase 7 (§6.3): toxicity scoring.
-	if c.cfg.ScoreToxicity && prog.Phase < phaseToxicity {
-		if err := c.scoreToxicity(ctx, t); err != nil {
-			return abort(err)
 		}
 	}
 	if err := t.flush(); err != nil {
 		return nil, err
 	}
-	return ds, nil
+	return t.prog.Dataset, nil
 }
 
-// collectTweets runs the instance-link and keyword query families over
-// the collection window and dedups into ds.CollectedTweets. Each query
-// is one resumable work unit; a terminally failed query is recorded as a
-// coverage gap rather than failing the crawl.
-func (c *Crawler) collectTweets(ctx context.Context, t *tracker) error {
-	start, end := vclock.CollectionStart, vclock.CollectionEnd.Add(24*time.Hour)
-	type query struct {
-		q     string
-		class QueryClass
-	}
-	var queries []query
-	for _, inst := range t.prog.Dataset.Instances {
-		queries = append(queries, query{fmt.Sprintf("url:%q", inst.Name), ClassInstanceLink})
-	}
-	for _, kw := range c.cfg.Keywords {
-		queries = append(queries, query{kw, ClassKeyword})
-	}
-	// Snapshot the done set before scheduling: workers mutate the live one.
-	done := make(map[string]bool, len(t.prog.DoneQueries))
-	for q, ok := range t.prog.DoneQueries {
-		done[q] = ok
-	}
-
+// runPhase fans ph's units out at the crawl's concurrency, commits each
+// through the tracker, then advances Progress.Phase, saves and emits the
+// phase's progress line.
+func (c *Crawler) runPhase(ctx context.Context, t *tracker, ph phase) error {
+	units := ph.units(t.prog)
 	g := httpkit.NewGroup(c.cfg.Concurrency)
-	for _, q := range queries {
-		q := q
-		if done[q.q] {
+	for _, u := range units {
+		// Planner partition: a unit on a quarantined instance is resolved
+		// up front with a gap entry, never scheduled, never dialed.
+		if u.host != "" && c.plan.decide(u.host) == planSkip {
+			c.rep.noteSkip(u.host)
+			c.rep.note(ph.gaps, u.key, errQuarantineSkip)
+			t.update(func(p *Progress) { ph.mark(p, u.key) })
 			continue
 		}
 		g.Go(func() error {
-			tweets, err := underLimit(ctx, c, c.twHost, func() ([]TweetJSON, error) {
-				return c.tw.SearchAll(ctx, q.q, start, end, c.cfg.MaxSearchPages)
-			})
+			commit, err := u.fetch(ctx)
 			if err != nil {
 				if ctx.Err() != nil {
 					return ctx.Err()
 				}
-				c.rep.note(c.rep.failedQueries, q.q, err)
-				t.update(func(p *Progress) { p.DoneQueries[q.q] = true })
-				return nil
+				if ph.gaps == nil {
+					return err
+				}
+				c.rep.note(ph.gaps, u.key, err)
 			}
-			t.update(func(p *Progress) {
+			if commit == nil {
+				commit = func(p *Progress) { ph.mark(p, u.key) }
+			}
+			t.update(commit)
+			return nil
+		})
+	}
+	if err := g.Wait(); err != nil {
+		// On cancellation every in-flight worker returns the same context
+		// error; collapse that pile to the one.
+		if ctx.Err() != nil {
+			err = ctx.Err()
+		}
+		return fmt.Errorf("crawler: %s: %w", ph.name, err)
+	}
+	t.update(func(p *Progress) {
+		if ph.finish != nil {
+			ph.finish(p)
+		}
+		p.Phase = ph.id
+	})
+	if err := t.flush(); err != nil {
+		return err
+	}
+	if c.cfg.Logf != nil {
+		var args []any
+		if ph.count != nil {
+			args = append(args, ph.count(t.prog.Dataset))
+		}
+		c.cfg.Logf(ph.line, args...)
+	}
+	return nil
+}
+
+// indexUnits is §3.1's instance index: one unit, fatal on failure.
+func (c *Crawler) indexUnits(*Progress) []unit {
+	return []unit{{key: "index", fetch: func(ctx context.Context) (func(*Progress), error) {
+		instances, err := c.index.List(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return func(p *Progress) { p.Dataset.Instances = instances }, nil
+	}}}
+}
+
+// queryUnits runs the instance-link and keyword query families over the
+// collection window, one unit per query; finishCollection dedups the
+// results into ds.CollectedTweets.
+func (c *Crawler) queryUnits(p *Progress) []unit {
+	start, end := vclock.CollectionStart, vclock.CollectionEnd.Add(24*time.Hour)
+	var units []unit
+	add := func(q string, class QueryClass) {
+		if p.DoneQueries[q] {
+			return
+		}
+		units = append(units, unit{key: q, fetch: func(ctx context.Context) (func(*Progress), error) {
+			tweets, err := underLimit(ctx, c, c.twHost, func() ([]TweetJSON, error) {
+				return c.tw.SearchAll(ctx, q, start, end, c.cfg.MaxSearchPages)
+			})
+			if err != nil {
+				return nil, err
+			}
+			return func(p *Progress) {
 				for _, tw := range tweets {
 					prev, dup := p.SeenTweets[tw.ID]
 					// Instance-link class wins on dedup: a tweet carrying a
 					// handle link is strictly more informative. The rule is
 					// order-independent, so resumed runs converge to the
 					// same corpus.
-					if !dup || (prev.Class == ClassKeyword && q.class == ClassInstanceLink) {
-						p.SeenTweets[tw.ID] = SeenTweet{Tweet: tw, Class: q.class}
+					if !dup || (prev.Class == ClassKeyword && class == ClassInstanceLink) {
+						p.SeenTweets[tw.ID] = SeenTweet{Tweet: tw, Class: class}
 					}
 				}
-				p.DoneQueries[q.q] = true
-			})
-			return nil
-		})
+				p.DoneQueries[q] = true
+			}, nil
+		}})
 	}
-	if err := waitPhase(ctx, g, "tweet collection"); err != nil {
-		return err
+	for _, inst := range p.Dataset.Instances {
+		add(fmt.Sprintf("url:%q", inst.Name), ClassInstanceLink)
 	}
-	t.update(func(p *Progress) {
-		for _, h := range p.SeenTweets {
-			at, ok := parseTweetTime(h.Tweet.CreatedAt)
-			if !ok {
-				continue
-			}
-			p.Dataset.CollectedTweets = append(p.Dataset.CollectedTweets, CollectedTweet{
-				ID:       h.Tweet.ID,
-				AuthorID: h.Tweet.AuthorID,
-				Time:     at,
-				Text:     h.Tweet.Text,
-				Source:   h.Tweet.Source,
-				Class:    h.Class,
-			})
-		}
-		sort.Slice(p.Dataset.CollectedTweets, func(i, j int) bool {
-			a, b := p.Dataset.CollectedTweets[i], p.Dataset.CollectedTweets[j]
-			if !a.Time.Equal(b.Time) {
-				return a.Time.Before(b.Time)
-			}
-			return a.ID < b.ID
-		})
-		p.SeenTweets = map[string]SeenTweet{}
-		p.DoneQueries = map[string]bool{}
-		p.Phase = phaseTweets
-	})
-	return t.flush()
+	for _, kw := range c.cfg.Keywords {
+		add(kw, ClassKeyword)
+	}
+	return units
 }
 
-// mapAccounts applies §3.1's hierarchical matching to every collected
-// author, then verifies each mapped handle against its instance. Each
-// author is one resumable work unit.
-func (c *Crawler) mapAccounts(ctx context.Context, t *tracker) error {
-	ds := t.prog.Dataset
+// finishCollection turns the dedup accumulator into the time-ordered
+// corpus and clears the phase's resume state.
+func finishCollection(p *Progress) {
+	for _, h := range p.SeenTweets {
+		at, ok := parseTweetTime(h.Tweet.CreatedAt)
+		if !ok {
+			continue
+		}
+		p.Dataset.CollectedTweets = append(p.Dataset.CollectedTweets, CollectedTweet{
+			ID:       h.Tweet.ID,
+			AuthorID: h.Tweet.AuthorID,
+			Time:     at,
+			Text:     h.Tweet.Text,
+			Source:   h.Tweet.Source,
+			Class:    h.Class,
+		})
+	}
+	sort.Slice(p.Dataset.CollectedTweets, func(i, j int) bool {
+		a, b := p.Dataset.CollectedTweets[i], p.Dataset.CollectedTweets[j]
+		if !a.Time.Equal(b.Time) {
+			return a.Time.Before(b.Time)
+		}
+		return a.ID < b.ID
+	})
+	p.SeenTweets = map[string]SeenTweet{}
+	p.DoneQueries = map[string]bool{}
+}
+
+// authorUnits is one unit per collected author, in ID order.
+func (c *Crawler) authorUnits(p *Progress) []unit {
 	known := match.KnownInstances{}
-	for _, inst := range ds.Instances {
+	for _, inst := range p.Dataset.Instances {
 		known[strings.ToLower(inst.Name)] = true
 	}
 	// Group collected tweets per author.
 	byAuthor := map[string][]string{}
-	for _, tw := range ds.CollectedTweets {
+	for _, tw := range p.Dataset.CollectedTweets {
 		byAuthor[tw.AuthorID] = append(byAuthor[tw.AuthorID], tw.Text)
 	}
 	authors := make([]string, 0, len(byAuthor))
 	for a := range byAuthor {
-		authors = append(authors, a)
+		if !p.DoneAuthors[a] {
+			authors = append(authors, a)
+		}
 	}
 	sort.Strings(authors)
-	done := make(map[string]bool, len(t.prog.DoneAuthors))
-	for a, ok := range t.prog.DoneAuthors {
-		done[a] = ok
+	units := make([]unit, 0, len(authors))
+	for _, a := range authors {
+		units = append(units, unit{key: a, fetch: func(ctx context.Context) (func(*Progress), error) {
+			return c.mapAuthor(ctx, a, byAuthor[a], known)
+		}})
 	}
+	return units
+}
 
-	g := httpkit.NewGroup(c.cfg.Concurrency)
-	for _, authorID := range authors {
-		authorID := authorID
-		if done[authorID] {
-			continue
+// mapAuthor applies §3.1's hierarchical matching to one author, then
+// verifies the mapped handle against its instance. A nil commit drops
+// the author: no match, or a handle that does not resolve.
+func (c *Crawler) mapAuthor(ctx context.Context, authorID string, tweets []string, known match.KnownInstances) (func(*Progress), error) {
+	user, err := underLimit(ctx, c, c.twHost, func() (*UserJSON, error) {
+		return c.tw.UserByID(ctx, authorID)
+	})
+	if err != nil {
+		return nil, err
+	}
+	profile := match.Profile{
+		Username:    user.Username,
+		DisplayName: user.Name,
+		Description: user.Description,
+		Location:    user.Location,
+		URL:         user.URL,
+	}
+	res, ok := match.Map(profile, tweets, known)
+	if !ok {
+		return nil, nil
+	}
+	pair := AccountPair{
+		TwitterID:        user.ID,
+		TwitterUsername:  user.Username,
+		Verified:         user.Verified,
+		TwitterFollowers: user.PublicMetrics.Followers,
+		TwitterFollowing: user.PublicMetrics.Following,
+		Handle:           res.Handle,
+		MatchSource:      res.Source,
+		SameUsername:     strings.EqualFold(user.Username, res.Handle.Username),
+	}
+	if at, ok := parseTweetTime(user.CreatedAt); ok {
+		pair.TwitterCreatedAt = at
+	}
+	// Verify against the instance and reconstruct the user's
+	// migration chain. Three cases:
+	//  - plain account: no move involved;
+	//  - we found the ABANDONED account (it has a moved record
+	//    pointing forward);
+	//  - we found the DESTINATION account (its also_known_as
+	//    alias points backwards at the first instance).
+	if acc, lerr := underPlan(ctx, c, strings.ToLower(res.Handle.Domain), func() (*MastoAccountJSON, error) {
+		return c.masto.Lookup(ctx, res.Handle.Domain, res.Handle.Username)
+	}); lerr == nil {
+		pair.MastodonVerified = true
+		pair.MastodonAccountID = acc.ID
+		pair.MastodonFollowers = acc.FollowersCount
+		pair.MastodonFollowing = acc.FollowingCount
+		pair.MastodonStatuses = acc.StatusesCount
+		if at, ok := parseTweetTime(acc.CreatedAt); ok {
+			pair.MastodonCreatedAt = at
 		}
-		g.Go(func() error {
-			markDone := func() {
-				t.update(func(p *Progress) { p.DoneAuthors[authorID] = true })
+		switch {
+		case acc.Moved != nil:
+			moved := &MovedRecord{AccountID: acc.Moved.ID}
+			moved.Handle = handleFromURL(acc.Moved.URL, acc.Moved.Username)
+			if at, ok := parseTweetTime(acc.Moved.CreatedAt); ok {
+				moved.MovedAt = at
 			}
-			user, err := underLimit(ctx, c, c.twHost, func() (*UserJSON, error) {
-				return c.tw.UserByID(ctx, authorID)
+			pair.Moved = moved
+			// Counts on the live account are the meaningful ones.
+			pair.MastodonFollowers = acc.Moved.FollowersCount
+			pair.MastodonFollowing = acc.Moved.FollowingCount
+			pair.MastodonStatuses = acc.Moved.StatusesCount
+		case len(acc.AlsoKnownAs) > 0:
+			// We discovered the destination; normalize the pair
+			// so Handle is always the FIRST account.
+			oldHandle := handleFromURL(acc.AlsoKnownAs[0], usernameFromURL(acc.AlsoKnownAs[0]))
+			old, lerr := underPlan(ctx, c, strings.ToLower(oldHandle.Domain), func() (*MastoAccountJSON, error) {
+				return c.masto.Lookup(ctx, oldHandle.Domain, oldHandle.Username)
 			})
-			if err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
+			if lerr != nil && ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+			if lerr == nil {
+				pair.Moved = &MovedRecord{
+					Handle:    res.Handle,
+					AccountID: acc.ID,
 				}
-				// Account gone between collection and mapping: skip.
-				c.rep.note(c.rep.droppedAuthors, authorID, err)
-				markDone()
-				return nil
-			}
-			profile := match.Profile{
-				Username:    user.Username,
-				DisplayName: user.Name,
-				Description: user.Description,
-				Location:    user.Location,
-				URL:         user.URL,
-			}
-			res, ok := match.Map(profile, byAuthor[authorID], known)
-			if !ok {
-				markDone()
-				return nil
-			}
-			pair := AccountPair{
-				TwitterID:        user.ID,
-				TwitterUsername:  user.Username,
-				Verified:         user.Verified,
-				TwitterFollowers: user.PublicMetrics.Followers,
-				TwitterFollowing: user.PublicMetrics.Following,
-				Handle:           res.Handle,
-				MatchSource:      res.Source,
-				SameUsername:     strings.EqualFold(user.Username, res.Handle.Username),
-			}
-			if at, ok := parseTweetTime(user.CreatedAt); ok {
-				pair.TwitterCreatedAt = at
-			}
-			// Verify against the instance and reconstruct the user's
-			// migration chain. Three cases:
-			//  - plain account: no move involved;
-			//  - we found the ABANDONED account (it has a moved record
-			//    pointing forward);
-			//  - we found the DESTINATION account (its also_known_as
-			//    alias points backwards at the first instance).
-			if acc, lerr := underPlan(ctx, c, strings.ToLower(res.Handle.Domain), func() (*MastoAccountJSON, error) {
-				return c.masto.Lookup(ctx, res.Handle.Domain, res.Handle.Username)
-			}); lerr == nil {
-				pair.MastodonVerified = true
-				pair.MastodonAccountID = acc.ID
-				pair.MastodonFollowers = acc.FollowersCount
-				pair.MastodonFollowing = acc.FollowingCount
-				pair.MastodonStatuses = acc.StatusesCount
 				if at, ok := parseTweetTime(acc.CreatedAt); ok {
+					pair.Moved.MovedAt = at
+				}
+				pair.Handle = oldHandle
+				pair.MastodonAccountID = old.ID
+				pair.SameUsername = strings.EqualFold(user.Username, oldHandle.Username)
+				if at, ok := parseTweetTime(old.CreatedAt); ok {
 					pair.MastodonCreatedAt = at
 				}
-				switch {
-				case acc.Moved != nil:
-					moved := &MovedRecord{AccountID: acc.Moved.ID}
-					moved.Handle = handleFromURL(acc.Moved.URL, acc.Moved.Username)
-					if at, ok := parseTweetTime(acc.Moved.CreatedAt); ok {
-						moved.MovedAt = at
-					}
-					pair.Moved = moved
-					// Counts on the live account are the meaningful ones.
-					pair.MastodonFollowers = acc.Moved.FollowersCount
-					pair.MastodonFollowing = acc.Moved.FollowingCount
-					pair.MastodonStatuses = acc.Moved.StatusesCount
-				case len(acc.AlsoKnownAs) > 0:
-					// We discovered the destination; normalize the pair
-					// so Handle is always the FIRST account.
-					oldHandle := handleFromURL(acc.AlsoKnownAs[0], usernameFromURL(acc.AlsoKnownAs[0]))
-					old, lerr := underPlan(ctx, c, strings.ToLower(oldHandle.Domain), func() (*MastoAccountJSON, error) {
-						return c.masto.Lookup(ctx, oldHandle.Domain, oldHandle.Username)
-					})
-					if lerr != nil && ctx.Err() != nil {
-						return ctx.Err()
-					}
-					if lerr == nil {
-						pair.Moved = &MovedRecord{
-							Handle:    res.Handle,
-							AccountID: acc.ID,
-						}
-						if at, ok := parseTweetTime(acc.CreatedAt); ok {
-							pair.Moved.MovedAt = at
-						}
-						pair.Handle = oldHandle
-						pair.MastodonAccountID = old.ID
-						pair.SameUsername = strings.EqualFold(user.Username, oldHandle.Username)
-						if at, ok := parseTweetTime(old.CreatedAt); ok {
-							pair.MastodonCreatedAt = at
-						}
-					}
-				}
-			} else if httpkit.IsStatus(lerr, 404) {
-				// Handle does not resolve: false-positive mapping, drop.
-				markDone()
-				return nil
-			} else if ctx.Err() != nil {
-				return ctx.Err()
 			}
-			t.update(func(p *Progress) {
-				p.Dataset.Pairs = append(p.Dataset.Pairs, pair)
-				p.DoneAuthors[authorID] = true
-			})
-			return nil
-		})
+		}
+	} else if httpkit.IsStatus(lerr, 404) {
+		// Handle does not resolve: false-positive mapping, drop.
+		return nil, nil
+	} else if ctx.Err() != nil {
+		return nil, ctx.Err()
 	}
-	if err := waitPhase(ctx, g, "account mapping"); err != nil {
-		return err
-	}
-	t.update(func(p *Progress) {
-		sort.Slice(p.Dataset.Pairs, func(i, j int) bool {
-			return p.Dataset.Pairs[i].TwitterID < p.Dataset.Pairs[j].TwitterID
-		})
-		p.DoneAuthors = map[string]bool{}
-		p.Phase = phaseMapping
-	})
-	return t.flush()
+	return func(p *Progress) {
+		p.Dataset.Pairs = append(p.Dataset.Pairs, pair)
+		p.DoneAuthors[authorID] = true
+	}, nil
 }
 
 // handleFromURL reconstructs a handle from an account URL plus username.
@@ -566,151 +617,116 @@ func usernameFromURL(u string) string {
 	return ""
 }
 
-// crawlTwitterTimelines fetches every pair's tweets with the §3.2
+// twitterTimelineUnits fetches every pair's tweets with the §3.2
 // failure taxonomy. Presence in ds.TwitterTimelines is the resume
 // marker: every finished unit (including taxonomy failures) writes an
 // entry.
-func (c *Crawler) crawlTwitterTimelines(ctx context.Context, t *tracker) error {
+func (c *Crawler) twitterTimelineUnits(p *Progress) []unit {
 	start, end := vclock.StudyStart, vclock.StudyEnd.Add(24*time.Hour)
-	ds := t.prog.Dataset
-	done := make(map[string]bool, len(ds.TwitterTimelines))
-	for id := range ds.TwitterTimelines {
-		done[id] = true
-	}
-	g := httpkit.NewGroup(c.cfg.Concurrency)
-	for i := range ds.Pairs {
-		pair := &ds.Pairs[i]
-		if done[pair.TwitterID] {
+	var units []unit
+	for i := range p.Dataset.Pairs {
+		id := p.Dataset.Pairs[i].TwitterID
+		if _, done := p.Dataset.TwitterTimelines[id]; done {
 			continue
 		}
-		g.Go(func() error {
-			tl := &TwitterTimeline{State: StateOK}
+		units = append(units, unit{key: id, fetch: func(ctx context.Context) (func(*Progress), error) {
 			tweets, err := underLimit(ctx, c, c.twHost, func() ([]TweetJSON, error) {
-				return c.tw.Timeline(ctx, pair.TwitterID, start, end)
+				return c.tw.Timeline(ctx, id, start, end)
 			})
-			if err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				switch {
-				case httpkit.IsStatus(err, 404):
-					tl.State = StateDeleted
-				case httpkit.IsStatus(err, 403):
-					tl.State = StateSuspended
-				case httpkit.IsStatus(err, 401):
-					tl.State = StateProtected
-				default:
-					// Transport failure, not an account state: record the
-					// gap alongside the taxonomy bucket.
-					c.rep.note(c.rep.twitterTLFailures, pair.TwitterID, err)
-					tl.State = StateDeleted
-				}
-			} else {
-				for _, tw := range tweets {
-					at, ok := parseTweetTime(tw.CreatedAt)
-					if !ok {
-						continue
-					}
-					tl.Posts = append(tl.Posts, Post{ID: tw.ID, Time: at, Text: tw.Text, Source: tw.Source, Toxicity: -1})
-				}
+			tl := &TwitterTimeline{State: StateOK}
+			switch {
+			case httpkit.IsStatus(err, 404):
+				tl.State = StateDeleted
+			case httpkit.IsStatus(err, 403):
+				tl.State = StateSuspended
+			case httpkit.IsStatus(err, 401):
+				tl.State = StateProtected
+			case err != nil:
+				return nil, err
 			}
-			t.update(func(p *Progress) { p.Dataset.TwitterTimelines[pair.TwitterID] = tl })
-			return nil
-		})
+			for _, tw := range tweets {
+				at, ok := parseTweetTime(tw.CreatedAt)
+				if !ok {
+					continue
+				}
+				tl.Posts = append(tl.Posts, Post{ID: tw.ID, Time: at, Text: tw.Text, Source: tw.Source, Toxicity: -1})
+			}
+			return func(p *Progress) { p.Dataset.TwitterTimelines[id] = tl }, nil
+		}})
 	}
-	if err := waitPhase(ctx, g, "twitter timelines"); err != nil {
-		return err
-	}
-	t.update(func(p *Progress) { p.Phase = phaseTwitterTL })
-	c.logf("twitter timelines: %d", len(ds.TwitterTimelines))
-	return t.flush()
+	return units
 }
 
-// crawlMastodonTimelines fetches every pair's statuses, spanning both
+// mastodonTimelineUnits fetches every pair's statuses, spanning both
 // instances for moved accounts. Presence in ds.MastodonTimelines is the
 // resume marker.
-func (c *Crawler) crawlMastodonTimelines(ctx context.Context, t *tracker) error {
-	ds := t.prog.Dataset
-	done := make(map[string]bool, len(ds.MastodonTimelines))
-	for id := range ds.MastodonTimelines {
-		done[id] = true
-	}
-	g := httpkit.NewGroup(c.cfg.Concurrency)
-	for i := range ds.Pairs {
-		pair := &ds.Pairs[i]
-		if done[pair.TwitterID] {
+func (c *Crawler) mastodonTimelineUnits(p *Progress) []unit {
+	var units []unit
+	for i := range p.Dataset.Pairs {
+		pair := &p.Dataset.Pairs[i]
+		if _, done := p.Dataset.MastodonTimelines[pair.TwitterID]; done {
 			continue
 		}
-		// Planner partition: pairs whose primary instance is quarantined
-		// are resolved up front — recorded as instance-down with a gap
-		// entry, never scheduled, never dialed.
-		if host := strings.ToLower(pair.Handle.Domain); c.plan.decide(host) == planSkip {
-			c.rep.noteSkip(host)
-			c.rep.note(c.rep.mastoTLFailures, pair.TwitterID, errQuarantineSkip)
-			t.update(func(p *Progress) {
-				p.Dataset.MastodonTimelines[pair.TwitterID] = &MastodonTimeline{State: StateInstanceDown}
-			})
-			continue
-		}
-		g.Go(func() error {
-			tl := &MastodonTimeline{State: StateOK}
-			fetch := func(domain, accountID string) error {
-				sts, err := underPlan(ctx, c, strings.ToLower(domain), func() ([]MastoStatusJSON, error) {
-					return c.masto.Statuses(ctx, domain, accountID)
-				})
-				if err != nil {
-					return err
-				}
-				for _, s := range sts {
-					at, ok := parseTweetTime(s.CreatedAt)
-					if !ok {
-						continue
-					}
-					tl.Posts = append(tl.Posts, Post{ID: s.ID, Time: at, Text: stripHTML(s.Content), Domain: domain, Toxicity: -1})
-				}
-				return nil
-			}
-			var err error
-			if pair.MastodonAccountID != "" {
-				err = fetch(pair.Handle.Domain, pair.MastodonAccountID)
-				if err == nil && pair.Moved != nil {
-					err = fetch(pair.Moved.Handle.Domain, pair.Moved.AccountID)
-				}
-			} else {
-				// Unverified pair: try a fresh lookup (it may have failed
-				// transiently during mapping).
-				acc, lerr := underPlan(ctx, c, strings.ToLower(pair.Handle.Domain), func() (*MastoAccountJSON, error) {
-					return c.masto.Lookup(ctx, pair.Handle.Domain, pair.Handle.Username)
-				})
-				if lerr != nil {
-					err = lerr
-				} else {
-					err = fetch(pair.Handle.Domain, acc.ID)
-				}
-			}
-			if err != nil && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			switch {
-			case err != nil && httpkit.IsStatus(err, 404):
-				tl.State = StateInstanceDown // account vanished
-			case err != nil:
-				tl.State = StateInstanceDown
-				c.rep.note(c.rep.mastoTLFailures, pair.TwitterID, err)
-			case len(tl.Posts) == 0:
-				tl.State = StateNoStatuses
-			}
-			sort.Slice(tl.Posts, func(a, b int) bool { return tl.Posts[a].Time.Before(tl.Posts[b].Time) })
-			t.update(func(p *Progress) { p.Dataset.MastodonTimelines[pair.TwitterID] = tl })
-			return nil
+		units = append(units, unit{
+			key:  pair.TwitterID,
+			host: strings.ToLower(pair.Handle.Domain),
+			fetch: func(ctx context.Context) (func(*Progress), error) {
+				return c.mastodonTimeline(ctx, pair)
+			},
 		})
 	}
-	if err := waitPhase(ctx, g, "mastodon timelines"); err != nil {
-		return err
+	return units
+}
+
+// mastodonTimeline crawls one pair's statuses. A failure after the first
+// instance answered keeps the posts fetched so far.
+func (c *Crawler) mastodonTimeline(ctx context.Context, pair *AccountPair) (func(*Progress), error) {
+	tl := &MastodonTimeline{State: StateOK}
+	fetch := func(domain, accountID string) error {
+		sts, err := underPlan(ctx, c, strings.ToLower(domain), func() ([]MastoStatusJSON, error) {
+			return c.masto.Statuses(ctx, domain, accountID)
+		})
+		if err != nil {
+			return err
+		}
+		for _, s := range sts {
+			at, ok := parseTweetTime(s.CreatedAt)
+			if !ok {
+				continue
+			}
+			tl.Posts = append(tl.Posts, Post{ID: s.ID, Time: at, Text: stripHTML(s.Content), Domain: domain, Toxicity: -1})
+		}
+		return nil
 	}
-	t.update(func(p *Progress) { p.Phase = phaseMastoTL })
-	c.logf("mastodon timelines: %d", len(ds.MastodonTimelines))
-	return t.flush()
+	var err error
+	if pair.MastodonAccountID != "" {
+		err = fetch(pair.Handle.Domain, pair.MastodonAccountID)
+		if err == nil && pair.Moved != nil {
+			err = fetch(pair.Moved.Handle.Domain, pair.Moved.AccountID)
+		}
+	} else {
+		// Unverified pair: try a fresh lookup (it may have failed
+		// transiently during mapping).
+		acc, lerr := underPlan(ctx, c, strings.ToLower(pair.Handle.Domain), func() (*MastoAccountJSON, error) {
+			return c.masto.Lookup(ctx, pair.Handle.Domain, pair.Handle.Username)
+		})
+		if lerr != nil {
+			err = lerr
+		} else {
+			err = fetch(pair.Handle.Domain, acc.ID)
+		}
+	}
+	switch {
+	case err != nil && httpkit.IsStatus(err, 404):
+		tl.State = StateInstanceDown // account vanished
+		err = nil
+	case err != nil:
+		tl.State = StateInstanceDown
+	case len(tl.Posts) == 0:
+		tl.State = StateNoStatuses
+	}
+	sort.Slice(tl.Posts, func(a, b int) bool { return tl.Posts[a].Time.Before(tl.Posts[b].Time) })
+	return func(p *Progress) { p.Dataset.MastodonTimelines[pair.TwitterID] = tl }, err
 }
 
 // stripHTML removes the <p> wrapper and entities from status content.
@@ -728,14 +744,14 @@ func stripHTML(s string) string {
 	return strings.TrimSpace(s)
 }
 
-// crawlFollowees implements §3.3: a stratified sample straddling the
+// followeeUnits implements §3.3: a stratified sample straddling the
 // median followee count — half the sample from above the median, half
 // from below — then full followee crawls on both platforms. The sample
 // is a pure function of the mapped pairs, so a resumed run recomputes it
 // identically; DoneFollowees marks the units already crawled (failures
 // produce no dataset entry, hence the explicit set).
-func (c *Crawler) crawlFollowees(ctx context.Context, t *tracker) error {
-	ds := t.prog.Dataset
+func (c *Crawler) followeeUnits(p *Progress) []unit {
+	ds := p.Dataset
 	// Eligible: pairs whose Twitter account is crawlable.
 	var eligible []*AccountPair
 	for i := range ds.Pairs {
@@ -745,11 +761,7 @@ func (c *Crawler) crawlFollowees(ctx context.Context, t *tracker) error {
 		}
 	}
 	if len(eligible) == 0 {
-		t.update(func(p *Progress) {
-			p.DoneFollowees = map[string]bool{}
-			p.Phase = phaseFollowees
-		})
-		return t.flush()
+		return nil
 	}
 	sort.Slice(eligible, func(i, j int) bool {
 		if eligible[i].TwitterFollowing != eligible[j].TwitterFollowing {
@@ -793,135 +805,91 @@ func (c *Crawler) crawlFollowees(ctx context.Context, t *tracker) error {
 	}
 
 	sampled := make([]*AccountPair, 0, len(sample))
-	for p := range sample {
-		sampled = append(sampled, p)
+	for pair := range sample {
+		if !p.DoneFollowees[pair.TwitterID] {
+			sampled = append(sampled, pair)
+		}
 	}
 	sort.Slice(sampled, func(i, j int) bool { return sampled[i].TwitterID < sampled[j].TwitterID })
-	done := make(map[string]bool, len(t.prog.DoneFollowees))
-	for id, ok := range t.prog.DoneFollowees {
-		done[id] = ok
+	units := make([]unit, 0, len(sampled))
+	for _, pair := range sampled {
+		units = append(units, unit{key: pair.TwitterID, fetch: func(ctx context.Context) (func(*Progress), error) {
+			return c.followees(ctx, pair)
+		}})
 	}
-
-	g := httpkit.NewGroup(c.cfg.Concurrency)
-	for _, p := range sampled {
-		p := p
-		if done[p.TwitterID] {
-			continue
-		}
-		g.Go(func() error {
-			markDone := func() {
-				t.update(func(pr *Progress) { pr.DoneFollowees[p.TwitterID] = true })
-			}
-			users, err := underLimit(ctx, c, c.twHost, func() ([]UserJSON, error) {
-				return c.tw.Following(ctx, p.TwitterID)
-			})
-			if err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				c.rep.note(c.rep.followeeGaps, p.TwitterID, err)
-				markDone()
-				return nil
-			}
-			refs := make([]FolloweeRef, 0, len(users))
-			for _, u := range users {
-				refs = append(refs, FolloweeRef{TwitterID: u.ID, Username: u.Username})
-			}
-			t.update(func(pr *Progress) { pr.Dataset.TwitterFollowees[p.TwitterID] = refs })
-			// Mastodon following of the live account.
-			domain, accID := p.Handle.Domain, p.MastodonAccountID
-			if p.Moved != nil {
-				domain, accID = p.Moved.Handle.Domain, p.Moved.AccountID
-			}
-			if accID == "" {
-				markDone()
-				return nil
-			}
-			accounts, err := underPlan(ctx, c, strings.ToLower(domain), func() ([]MastoAccountJSON, error) {
-				return c.masto.Following(ctx, domain, accID)
-			})
-			if err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				c.rep.note(c.rep.followeeGaps, p.TwitterID, err)
-				markDone()
-				return nil
-			}
-			handles := make([]string, 0, len(accounts))
-			for _, a := range accounts {
-				acct := a.Acct
-				if !strings.Contains(acct, "@") {
-					acct = acct + "@" + domain
-				}
-				handles = append(handles, "@"+acct)
-			}
-			t.update(func(pr *Progress) {
-				pr.Dataset.MastodonFollowing[p.TwitterID] = handles
-				pr.DoneFollowees[p.TwitterID] = true
-			})
-			return nil
-		})
-	}
-	if err := waitPhase(ctx, g, "followee sample"); err != nil {
-		return err
-	}
-	t.update(func(p *Progress) {
-		p.DoneFollowees = map[string]bool{}
-		p.Phase = phaseFollowees
-	})
-	c.logf("followee sample: %d users", len(ds.TwitterFollowees))
-	return t.flush()
+	return units
 }
 
-// crawlActivity fetches weekly activity for every instance that received
-// a mapped migrant. DoneActivity marks finished domains (down instances
-// drop out with a recorded gap).
-func (c *Crawler) crawlActivity(ctx context.Context, t *tracker) error {
-	ds := t.prog.Dataset
+// followees crawls one sampled user's followees on both platforms. A
+// Mastodon-side failure still commits the Twitter side.
+func (c *Crawler) followees(ctx context.Context, pair *AccountPair) (func(*Progress), error) {
+	users, err := underLimit(ctx, c, c.twHost, func() ([]UserJSON, error) {
+		return c.tw.Following(ctx, pair.TwitterID)
+	})
+	if err != nil {
+		return nil, err
+	}
+	refs := make([]FolloweeRef, 0, len(users))
+	for _, u := range users {
+		refs = append(refs, FolloweeRef{TwitterID: u.ID, Username: u.Username})
+	}
+	// Mastodon following of the live account.
+	domain, accID := pair.Handle.Domain, pair.MastodonAccountID
+	if pair.Moved != nil {
+		domain, accID = pair.Moved.Handle.Domain, pair.Moved.AccountID
+	}
+	var handles []string
+	if accID != "" {
+		var accounts []MastoAccountJSON
+		accounts, err = underPlan(ctx, c, strings.ToLower(domain), func() ([]MastoAccountJSON, error) {
+			return c.masto.Following(ctx, domain, accID)
+		})
+		if err == nil {
+			handles = make([]string, 0, len(accounts))
+		}
+		for _, a := range accounts {
+			acct := a.Acct
+			if !strings.Contains(acct, "@") {
+				acct = acct + "@" + domain
+			}
+			handles = append(handles, "@"+acct)
+		}
+	}
+	return func(p *Progress) {
+		p.Dataset.TwitterFollowees[pair.TwitterID] = refs
+		if handles != nil {
+			p.Dataset.MastodonFollowing[pair.TwitterID] = handles
+		}
+		p.DoneFollowees[pair.TwitterID] = true
+	}, err
+}
+
+// activityUnits fetches weekly activity for every instance that
+// received a mapped migrant, one unit per domain.
+func (c *Crawler) activityUnits(p *Progress) []unit {
 	domains := map[string]bool{}
-	for i := range ds.Pairs {
-		domains[ds.Pairs[i].Handle.Domain] = true
-		if ds.Pairs[i].Moved != nil {
-			domains[ds.Pairs[i].Moved.Handle.Domain] = true
+	for _, pair := range p.Dataset.Pairs {
+		domains[pair.Handle.Domain] = true
+		if pair.Moved != nil {
+			domains[pair.Moved.Handle.Domain] = true
 		}
 	}
 	sorted := make([]string, 0, len(domains))
 	for d := range domains {
-		sorted = append(sorted, d)
+		if !p.DoneActivity[d] {
+			sorted = append(sorted, d)
+		}
 	}
 	sort.Strings(sorted)
-	done := make(map[string]bool, len(t.prog.DoneActivity))
-	for d, ok := range t.prog.DoneActivity {
-		done[d] = ok
-	}
-
-	g := httpkit.NewGroup(c.cfg.Concurrency)
+	units := make([]unit, 0, len(sorted))
 	for _, domain := range sorted {
-		domain := domain
-		if done[domain] {
-			continue
-		}
-		// Planner partition: quarantined instances drop out of the
-		// activity panel up front with a recorded gap, no dial spent.
-		if host := strings.ToLower(domain); c.plan.decide(host) == planSkip {
-			c.rep.noteSkip(host)
-			c.rep.note(c.rep.activityGaps, domain, errQuarantineSkip)
-			t.update(func(p *Progress) { p.DoneActivity[domain] = true })
-			continue
-		}
-		g.Go(func() error {
-			acts, err := underPlan(ctx, c, strings.ToLower(domain), func() ([]ActivityJSON, error) {
+		host := strings.ToLower(domain)
+		units = append(units, unit{key: domain, host: host, fetch: func(ctx context.Context) (func(*Progress), error) {
+			acts, err := underPlan(ctx, c, host, func() ([]ActivityJSON, error) {
 				return c.masto.Activity(ctx, domain)
 			})
 			if err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				// Down instances drop out of the activity panel.
-				c.rep.note(c.rep.activityGaps, domain, err)
-				t.update(func(p *Progress) { p.DoneActivity[domain] = true })
-				return nil
+				return nil, err
 			}
 			weeks := make([]WeekActivity, 0, len(acts))
 			for _, a := range acts {
@@ -935,22 +903,13 @@ func (c *Crawler) crawlActivity(ctx context.Context, t *tracker) error {
 				weeks = append(weeks, WeekActivity{Week: wk, Statuses: st, Logins: lg, Registrations: rg})
 			}
 			sort.Slice(weeks, func(i, j int) bool { return weeks[i].Week.Before(weeks[j].Week) })
-			t.update(func(p *Progress) {
+			return func(p *Progress) {
 				p.Dataset.Activity[domain] = weeks
 				p.DoneActivity[domain] = true
-			})
-			return nil
-		})
+			}, nil
+		}})
 	}
-	if err := waitPhase(ctx, g, "activity"); err != nil {
-		return err
-	}
-	t.update(func(p *Progress) {
-		p.DoneActivity = map[string]bool{}
-		p.Phase = phaseActivity
-	})
-	c.logf("activity: %d instances", len(ds.Activity))
-	return t.flush()
+	return units
 }
 
 func atoiSafe(s string) (int, error) {
@@ -959,45 +918,36 @@ func atoiSafe(s string) (int, error) {
 	return n, err
 }
 
-// scoreToxicity labels every crawled post via the Perspective-style
-// service (§6.3). Already-scored posts (Toxicity >= 0, e.g. restored
-// from a checkpoint) are skipped, making the phase idempotent. No
-// mid-phase checkpoints: workers write posts in place, so saves only
-// happen at the phase boundary when they are quiescent.
-func (c *Crawler) scoreToxicity(ctx context.Context, t *tracker) error {
-	ds := t.prog.Dataset
-	g := httpkit.NewGroup(c.cfg.Concurrency)
-	scorePosts := func(posts []Post) {
+// toxicityUnits labels every crawled post via the Perspective-style
+// service (§6.3), one unit per post. Already-scored posts (Toxicity >=
+// 0, e.g. restored from a checkpoint) are done. Gap keys carry the
+// platform, and the instance for Mastodon statuses, so post IDs from
+// different ID spaces cannot collide.
+func (c *Crawler) toxicityUnits(p *Progress) []unit {
+	var units []unit
+	add := func(posts []Post, key func(*Post) string) {
 		for i := range posts {
-			i := i
-			if posts[i].Toxicity >= 0 {
+			post := &posts[i]
+			if post.Toxicity >= 0 {
 				continue
 			}
-			g.Go(func() error {
+			text := post.Text
+			units = append(units, unit{key: key(post), fetch: func(ctx context.Context) (func(*Progress), error) {
 				v, err := underLimit(ctx, c, c.toxHost, func() (float64, error) {
-					return c.tox.Score(ctx, posts[i].Text)
+					return c.tox.Score(ctx, text)
 				})
 				if err != nil {
-					if ctx.Err() != nil {
-						return ctx.Err()
-					}
-					return nil // unscored posts keep -1
+					return nil, err
 				}
-				posts[i].Toxicity = v
-				return nil
-			})
+				return func(*Progress) { post.Toxicity = v }, nil
+			}})
 		}
 	}
-	for _, tl := range ds.TwitterTimelines {
-		scorePosts(tl.Posts)
+	for _, tl := range p.Dataset.TwitterTimelines {
+		add(tl.Posts, func(post *Post) string { return "twitter/" + post.ID })
 	}
-	for _, tl := range ds.MastodonTimelines {
-		scorePosts(tl.Posts)
+	for _, tl := range p.Dataset.MastodonTimelines {
+		add(tl.Posts, func(post *Post) string { return "mastodon/" + post.Domain + "/" + post.ID })
 	}
-	if err := waitPhase(ctx, g, "toxicity"); err != nil {
-		return err
-	}
-	t.update(func(p *Progress) { p.Phase = phaseToxicity })
-	c.logf("toxicity scoring done")
-	return t.flush()
+	return units
 }
