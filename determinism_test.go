@@ -41,9 +41,10 @@ func detDataset(t *testing.T) *crawler.Dataset {
 // analysisReport runs every RQ analysis through one engine and renders
 // the results as stable JSON. ECDF marshals as its sorted sample array
 // and encoding/json sorts map keys, so equal results give equal bytes.
-func analysisReport(t *testing.T, ds *crawler.Dataset, workers int) []byte {
+// cache may be nil, as in core.Analyze.
+func analysisReport(t *testing.T, ds *crawler.Dataset, workers int, cache *textsim.Cache) []byte {
 	t.Helper()
-	eng := analysis.Engine{Workers: workers, Cache: textsim.NewCache()}
+	eng := analysis.Engine{Workers: workers, Cache: cache}
 	report := map[string]any{
 		"rq1":        eng.RQ1(ds),
 		"networks":   eng.SocialNetworkSizes(ds),
@@ -70,17 +71,31 @@ func analysisReport(t *testing.T, ds *crawler.Dataset, workers int) []byte {
 // any worker count and across consecutive runs at the same count.
 func TestAnalysisDeterministicAcrossWorkers(t *testing.T) {
 	ds := detDataset(t)
-	want := analysisReport(t, ds, 1)
+	want := analysisReport(t, ds, 1, textsim.NewCache())
 	if len(want) < 100 {
 		t.Fatalf("implausibly small report: %d bytes", len(want))
 	}
 	for _, w := range []int{1, 2, 8} {
 		for run := 0; run < 2; run++ {
-			got := analysisReport(t, ds, w)
+			got := analysisReport(t, ds, w, textsim.NewCache())
 			if !bytes.Equal(got, want) {
 				t.Fatalf("workers=%d run=%d: report differs from serial baseline (%d vs %d bytes)",
 					w, run, len(got), len(want))
 			}
+		}
+	}
+}
+
+// TestAnalysisDeterministicWithoutCache pins the path core.Analyze
+// takes, an engine with no embedding cache: its report must be
+// byte-identical to the cached serial baseline at every worker count.
+func TestAnalysisDeterministicWithoutCache(t *testing.T) {
+	ds := detDataset(t)
+	want := analysisReport(t, ds, 1, textsim.NewCache())
+	for _, w := range []int{1, 2, 8} {
+		if got := analysisReport(t, ds, w, nil); !bytes.Equal(got, want) {
+			t.Fatalf("workers=%d: uncached report differs from cached serial baseline (%d vs %d bytes)",
+				w, len(got), len(want))
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // Engine runs every analysis on the deterministic parallel kernels of
 // internal/parallel. The zero value is valid: Workers <= 0 resolves to
-// GOMAXPROCS and Cache == nil disables cross-pass embedding reuse.
+// GOMAXPROCS and Cache == nil disables cross-run embedding reuse.
 //
 // Determinism contract: for a fixed dataset, every Engine method returns
 // a byte-identical result (under stable JSON encoding) at any Workers
@@ -22,8 +22,9 @@ import (
 type Engine struct {
 	// Workers bounds the worker pool per analysis (<= 0: GOMAXPROCS).
 	Workers int
-	// Cache, when non-nil, memoizes embeddings across analyses — the
-	// Fig. 14 texts repeat heavily across RQ passes and runs.
+	// Cache, when non-nil, memoizes the Fig. 14 embeddings. Within one
+	// run texts are almost all distinct, so it pays off only when the
+	// same Cache is reused across runs over the same dataset.
 	Cache *textsim.Cache
 }
 

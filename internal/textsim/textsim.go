@@ -231,10 +231,12 @@ func Embed(text string) Vector {
 }
 
 // Cache is a concurrency-safe embedding memo keyed by canonicalized
-// text. Profiles and timelines repeat texts heavily across the RQ passes
-// (cross-posted content appears once per platform per analysis), so a
-// shared Cache turns the second and later embeddings of a text into a
-// map read. Canonicalization is safe as a key because it only strips
+// text. A shared Cache turns the second and later embeddings of a text
+// into a map read. Within one Fig. 14 pass almost every text is
+// distinct, so the memo pays off only when it is reused across runs over
+// the same dataset (repeated analyses, threshold sweeps); a fresh Cache
+// per run costs a map entry per text and saves almost nothing.
+// Canonicalization is safe as a key because it only strips
 // bytes the tokenizer ignores (surrounding whitespace, a trailing
 // truncation ellipsis), so Embed(text) == Embed(canonicalize(text)).
 //
@@ -280,15 +282,6 @@ func (c *Cache) Len() int {
 	return len(c.m)
 }
 
-// EmbedAll embeds every text on a bounded worker pool, result slots in
-// input order (deterministic regardless of scheduling; see
-// internal/parallel). cache may be nil.
-func EmbedAll(texts []string, workers int, cache *Cache) []Vector {
-	return parallel.MapSlice(workers, len(texts), func(i int) Vector {
-		return cache.Embed(texts[i])
-	})
-}
-
 // Cosine returns the cosine similarity of two embeddings in [-1, 1].
 // Zero vectors yield 0.
 func Cosine(a, b Vector) float64 {
@@ -296,12 +289,17 @@ func Cosine(a, b Vector) float64 {
 	for i := range a {
 		dot += float64(a[i]) * float64(b[i])
 	}
-	// Vectors are normalized at Embed time; clamp for float drift.
+	return clamp(dot)
+}
+
+// clamp bounds a dot product of normalized vectors to [-1, 1], absorbing
+// float drift.
+func clamp(dot float64) float64 {
 	if dot > 1 {
-		dot = 1
+		return 1
 	}
 	if dot < -1 {
-		dot = -1
+		return -1
 	}
 	return dot
 }
@@ -377,49 +375,51 @@ func NewIndexParallel(texts []string, workers int, cache *Cache) *Index {
 // BestMatch returns the index and cosine of the closest text to the
 // query embedding, or (-1, 0) on an empty index. Ties break to the
 // lowest index, deterministically.
+//
+// The scan is blocked four candidates per pass with one accumulator
+// each, so four independent add chains overlap instead of one 256-step
+// dependent chain, and candidates are read in place rather than copied.
+// Each candidate's sum is still float64(q[k])*float64(v[k]) over
+// ascending k followed by Cosine's clamp, so every similarity is
+// bit-identical to Cosine(q, v): the product of two float32s is exact in
+// float64, so fused multiply-adds cannot change it either.
 func (ix *Index) BestMatch(q Vector) (int, float64) {
+	var qf [Dim]float64
+	for k, x := range q {
+		qf[k] = float64(x)
+	}
 	best, bestSim := -1, math.Inf(-1)
-	for i, v := range ix.Vectors {
-		if s := Cosine(q, v); s > bestSim {
+	consider := func(i int, dot float64) {
+		if s := clamp(dot); s > bestSim {
 			best, bestSim = i, s
 		}
+	}
+	vs := ix.Vectors
+	i := 0
+	for ; i+4 <= len(vs); i += 4 {
+		v0, v1, v2, v3 := &vs[i], &vs[i+1], &vs[i+2], &vs[i+3]
+		var d0, d1, d2, d3 float64
+		for k := range qf {
+			d0 += qf[k] * float64(v0[k])
+			d1 += qf[k] * float64(v1[k])
+			d2 += qf[k] * float64(v2[k])
+			d3 += qf[k] * float64(v3[k])
+		}
+		consider(i, d0)
+		consider(i+1, d1)
+		consider(i+2, d2)
+		consider(i+3, d3)
+	}
+	for ; i < len(vs); i++ {
+		v := &vs[i]
+		var d float64
+		for k := range qf {
+			d += qf[k] * float64(v[k])
+		}
+		consider(i, d)
 	}
 	if best < 0 {
 		return -1, 0
 	}
 	return best, bestSim
-}
-
-// BestMatchParallel shards the BestMatch scan over a bounded worker
-// pool. Shard boundaries depend only on the index size and partial
-// winners merge in ascending shard order with a strictly-greater
-// comparison, so the result — including lowest-index tie-breaking — is
-// bit-identical to the serial BestMatch at every worker count.
-func (ix *Index) BestMatchParallel(q Vector, workers int) (int, float64) {
-	if len(ix.Vectors) == 0 {
-		return -1, 0
-	}
-	type cand struct {
-		idx int
-		sim float64
-	}
-	best := parallel.ReduceSharded(workers, len(ix.Vectors),
-		func(lo, hi int) cand {
-			b := cand{idx: -1, sim: math.Inf(-1)}
-			for i := lo; i < hi; i++ {
-				if s := Cosine(q, ix.Vectors[i]); s > b.sim {
-					b = cand{idx: i, sim: s}
-				}
-			}
-			return b
-		},
-		func(a, b cand) cand {
-			// a is the lower shard: keeping it on ties preserves the
-			// lowest-index rule.
-			if b.sim > a.sim {
-				return b
-			}
-			return a
-		})
-	return best.idx, best.sim
 }

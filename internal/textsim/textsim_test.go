@@ -2,9 +2,12 @@ package textsim
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"flock/internal/randx"
 )
 
 func TestTokenize(t *testing.T) {
@@ -187,8 +190,7 @@ func TestIndexAllZeroVectors(t *testing.T) {
 
 func TestBestMatchTieBreaksLowestIndex(t *testing.T) {
 	// Duplicate texts give exactly equal cosines; the lowest index must
-	// be picked, and identically so by the sharded scan at every worker
-	// count.
+	// be picked.
 	texts := []string{
 		"completely unrelated filler words",
 		"announcing my move to mastodon today",
@@ -197,34 +199,73 @@ func TestBestMatchTieBreaksLowestIndex(t *testing.T) {
 	}
 	ix := NewIndex(texts)
 	q := Embed("announcing my move to mastodon today")
-	i, s := ix.BestMatch(q)
-	if i != 1 {
-		t.Fatalf("serial tie-break picked %d (sim %v)", i, s)
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		pi, ps := ix.BestMatchParallel(q, w)
-		if pi != i || math.Float64bits(ps) != math.Float64bits(s) {
-			t.Fatalf("workers=%d parallel scan = (%d, %v), serial = (%d, %v)", w, pi, ps, i, s)
-		}
+	if i, s := ix.BestMatch(q); i != 1 {
+		t.Fatalf("tie-break picked %d (sim %v)", i, s)
 	}
 }
 
-func TestBestMatchParallelMatchesSerial(t *testing.T) {
-	texts := make([]string, 300)
-	for i := range texts {
-		texts[i] = strings.Repeat("word ", i%17+1) + Tokenize("unique filler")[0]
-	}
-	ix := NewIndex(texts)
-	q := Embed("word word word unique")
-	si, ss := ix.BestMatch(q)
-	for _, w := range []int{1, 2, 3, 8} {
-		pi, ps := ix.BestMatchParallel(q, w)
-		if pi != si || math.Float64bits(ps) != math.Float64bits(ss) {
-			t.Fatalf("workers=%d: (%d, %v) != serial (%d, %v)", w, pi, ps, si, ss)
+// refBestMatch is the unblocked reference scan: Cosine on every
+// candidate in ascending index, keeping the first strict maximum.
+func refBestMatch(ix *Index, q Vector) (int, float64) {
+	best, bestSim := -1, math.Inf(-1)
+	for i := range ix.Vectors {
+		if s := Cosine(q, ix.Vectors[i]); s > bestSim {
+			best, bestSim = i, s
 		}
 	}
-	if i, s := (&Index{}).BestMatchParallel(q, 4); i != -1 || s != 0 {
-		t.Fatalf("empty parallel scan = %d, %v", i, s)
+	if best < 0 {
+		return -1, 0
+	}
+	return best, bestSim
+}
+
+// TestBestMatchBitIdentical checks the blocked BestMatch kernel against
+// the reference scan, comparing the winning index and the similarity's
+// bits. Index sizes 0-13 cover every block tail; the candidate pools
+// mix real embeddings (with duplicates placed at varying offsets), zero
+// vectors, the query itself (self-cosine drifts past 1 and exercises the
+// clamp), its negation, and unnormalized vectors whose dots clamp to
+// ±1 and so tie at the bound.
+func TestBestMatchBitIdentical(t *testing.T) {
+	words := strings.Fields("mastodon twitter migration fediverse instance toot tweet follow " +
+		"bridge crosspost moderation server account handle decentralized birdsite")
+	rng := randx.New(14)
+	text := func() string {
+		n := 1 + rng.Intn(12)
+		ws := make([]string, n)
+		for i := range ws {
+			ws[i] = words[rng.Intn(len(words))]
+		}
+		return strings.Join(ws, " ")
+	}
+	var big, neg Vector
+	for k := range big {
+		big[k] = float32(rng.NormFloat64())
+	}
+	for trial := 0; trial < 300; trial++ {
+		q := Embed(text())
+		if trial%10 == 0 {
+			q = Vector{}
+		}
+		for k := range neg {
+			neg[k] = -q[k]
+		}
+		pool := []Vector{q, neg, big, {}, Embed(text()), Embed(text())}
+		for n := 0; n <= 13; n++ {
+			ix := &Index{Vectors: make([]Vector, n)}
+			for i := range ix.Vectors {
+				if rng.Bool(0.5) {
+					ix.Vectors[i] = pool[rng.Intn(len(pool))]
+				} else {
+					ix.Vectors[i] = Embed(text())
+				}
+			}
+			gi, gs := ix.BestMatch(q)
+			wi, ws := refBestMatch(ix, q)
+			if gi != wi || math.Float64bits(gs) != math.Float64bits(ws) {
+				t.Fatalf("trial %d n=%d: BestMatch = (%d, %v), reference = (%d, %v)", trial, n, gi, gs, wi, ws)
+			}
+		}
 	}
 }
 
@@ -256,27 +297,6 @@ func TestCacheEmbedMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestEmbedAllMatchesSerial(t *testing.T) {
-	texts := []string{"one post", "two posts", "", "one post", "three posts about mastodon"}
-	want := make([]Vector, len(texts))
-	for i, txt := range texts {
-		want[i] = Embed(txt)
-	}
-	for _, w := range []int{1, 2, 8} {
-		for _, cache := range []*Cache{nil, NewCache()} {
-			got := EmbedAll(texts, w, cache)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("workers=%d cache=%v slot %d differs", w, cache != nil, i)
-				}
-			}
-		}
-	}
-	if EmbedAll(nil, 4, nil) != nil {
-		t.Fatal("empty EmbedAll should return nil")
-	}
-}
-
 func TestNewIndexParallelMatchesSerial(t *testing.T) {
 	texts := []string{"alpha beta", "gamma delta", "epsilon"}
 	a := NewIndex(texts)
@@ -305,6 +325,21 @@ func BenchmarkEmbedCached(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Embed(text)
+	}
+}
+
+// BenchmarkBestMatch scans one Fig. 14 query against an index of 178
+// tweets, the mean Twitter timeline length of a 1000-migrant world.
+func BenchmarkBestMatch(b *testing.B) {
+	texts := make([]string, 178)
+	for i := range texts {
+		texts[i] = "post " + strconv.Itoa(i) + " about the migration to mastodon and the fediverse"
+	}
+	ix := NewIndex(texts)
+	q := Embed("a status about the migration to mastodon")
+	b.ReportAllocs()
+	for b.Loop() {
+		ix.BestMatch(q)
 	}
 }
 
